@@ -92,14 +92,6 @@ def _workload_parent(
                              "'reference' (the Alg. 3 oracle); seeds and "
                              "selection stats are bit-identical across all "
                              "three")
-    parent.add_argument("--visited-mode", default=None,
-                        choices=["auto", "sorted", "bitset"],
-                        help="sampler visited bookkeeping: 'bitset' keeps a "
-                             "dense word-packed visited plane, 'sorted' the "
-                             "classic sorted-key array; 'auto' picks bitset "
-                             "whenever the plane fits the kernel memory "
-                             "budget (default: REPRO_VISITED_MODE, else "
-                             "auto; output is bit-identical in every mode)")
     parent.add_argument("--coverage-scan", default=None,
                         choices=["auto", "csr", "bitset"],
                         help="seed-selection coverage scan: 'bitset' popcounts "
@@ -117,8 +109,8 @@ def _workload_parent(
     parent.add_argument("--memory-budget-mb", type=float, default=None,
                         metavar="MB",
                         help="process memory budget in MiB: RRR chunks "
-                             "demote to compressed/spilled tiers and dense "
-                             "kernel planes fall back to sparse paths rather "
+                             "demote to compressed/spilled tiers and the "
+                             "dense coverage scan falls back to CSR rather "
                              "than exceed it; seeds are bit-identical at "
                              "every budget (default: REPRO_MEMORY_BUDGET_MB, "
                              "else unbounded)")
@@ -253,7 +245,6 @@ def _cmd_seeds(args) -> int:
             n_jobs=args.jobs,
             resilience=resilience,
             data_plane=args.data_plane,
-            visited_mode=args.visited_mode,
         )
     result = run_imm(
         graph, args.k, args.epsilon, rng=args.seed,
@@ -266,7 +257,6 @@ def _cmd_seeds(args) -> int:
             profile=args.profile or args.profile_json is not None,
             resilience=resilience,
             data_plane=args.data_plane,
-            visited_mode=args.visited_mode,
             coverage_scan=args.coverage_scan,
             memory_budget_mb=args.memory_budget_mb,
         ),
@@ -314,7 +304,6 @@ def _cmd_compare(args) -> int:
         checkpoint_dir=args.checkpoint_dir,
         data_plane=args.data_plane,
         selection_strategy=args.selection_strategy,
-        visited_mode=args.visited_mode,
         coverage_scan=args.coverage_scan,
     )
     handle = obs.install() if args.profile else None

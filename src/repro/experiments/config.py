@@ -19,7 +19,6 @@ whole suite stays CI-sized.  Environment overrides:
 ``REPRO_FAULTS``           fault-injection plan (repro.resilience.faults)
 ``REPRO_DATA_PLANE``       ``shm`` (default where available) / ``pickle``
 ``REPRO_SELECTION_STRATEGY``  ``fast`` (default) / ``lazy`` / ``reference``
-``REPRO_VISITED_MODE``     ``auto`` (default) / ``sorted`` / ``bitset``
 ``REPRO_COVERAGE_SCAN``    ``auto`` (default) / ``csr`` / ``bitset``
 ========================  ============================================
 """
@@ -98,10 +97,6 @@ class ExperimentConfig:
     #: "reference"); all three are bit-identical in seeds and stats, so
     #: this is a host-performance knob only
     selection_strategy: str = "fast"
-    #: sampler visited bookkeeping ("auto" / "sorted" / "bitset"); None
-    #: defers to REPRO_VISITED_MODE, then "auto".  Bit-identical output
-    #: in every mode
-    visited_mode: Optional[str] = None
     #: seed-selection coverage scan ("auto" / "csr" / "bitset"); None
     #: defers to REPRO_COVERAGE_SCAN, then "auto".  Identical seeds and
     #: stats either way
@@ -141,8 +136,6 @@ class ExperimentConfig:
             kwargs["selection_strategy"] = (
                 os.environ["REPRO_SELECTION_STRATEGY"].strip().lower()
             )
-        if "REPRO_VISITED_MODE" in os.environ:
-            kwargs["visited_mode"] = os.environ["REPRO_VISITED_MODE"]
         if "REPRO_COVERAGE_SCAN" in os.environ:
             kwargs["coverage_scan"] = os.environ["REPRO_COVERAGE_SCAN"]
         kwargs.update(overrides)
@@ -171,12 +164,8 @@ class ExperimentConfig:
                 f"unknown selection strategy {self.selection_strategy!r}; "
                 f"choose one of {STRATEGIES}"
             )
-        from repro.kernels import resolve_coverage_scan, resolve_visited_mode
+        from repro.kernels import resolve_coverage_scan
 
-        if self.visited_mode is not None:
-            object.__setattr__(
-                self, "visited_mode", resolve_visited_mode(self.visited_mode)
-            )
         if self.coverage_scan is not None:
             object.__setattr__(
                 self, "coverage_scan", resolve_coverage_scan(self.coverage_scan)

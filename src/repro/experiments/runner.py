@@ -121,7 +121,6 @@ def _warm_stores(graph, model, rep, config, pool):
             pool=pool,
             resilience=config.resilience(),
             data_plane=config.data_plane,
-            visited_mode=config.visited_mode,
         )
 
     return make(True), make(False)
@@ -200,7 +199,6 @@ def compare_engines(
                                    n_jobs=config.n_jobs,
                                    resilience=resilience,
                                    selection_strategy=config.selection_strategy,
-                                   visited_mode=config.visited_mode,
                                    coverage_scan=config.coverage_scan,
                                ))
             )
@@ -214,7 +212,6 @@ def compare_engines(
                                    resilience=resilience,
                                    data_plane=config.data_plane,
                                    selection_strategy=config.selection_strategy,
-                                   visited_mode=config.visited_mode,
                                    coverage_scan=config.coverage_scan),
                 pool=pool, store=vanilla_store,
             )

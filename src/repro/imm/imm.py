@@ -273,7 +273,6 @@ def _run_imm_core(
                 model, count, rng=gen,
                 eliminate_sources=eliminate_sources,
                 batch_size=options.batch_size,
-                visited_mode=options.visited_mode,
                 resilience=options.resilience,
             )
     else:
@@ -284,7 +283,6 @@ def _run_imm_core(
                 graph, count, rng=gen,
                 eliminate_sources=eliminate_sources,
                 batch_size=options.batch_size,
-                visited_mode=options.visited_mode,
             )
 
     ell = adjusted_ell(graph.n, bounds.ell)

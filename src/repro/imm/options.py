@@ -63,13 +63,6 @@ class IMMOptions:
         ``REPRO_DATA_PLANE`` environment variable, then to ``"shm"``
         wherever OS shared memory works.  Output is bit-identical
         across planes.
-    visited_mode:
-        Sampler visited-bookkeeping implementation: ``"sorted"``
-        (merged key array), ``"bitset"`` (dense word-parallel visited
-        plane), or ``"auto"`` (bitset whenever the plane fits the
-        kernel memory budget).  ``None`` defers to
-        ``REPRO_VISITED_MODE``, then ``"auto"``.  Output is
-        bit-identical across modes.
     coverage_scan:
         Seed-selection marginal-coverage scan: ``"csr"`` (inverted
         postings), ``"bitset"`` (word-parallel popcount over a packed
@@ -79,8 +72,8 @@ class IMMOptions:
     memory_budget_mb:
         Process memory budget in MiB, pinned on the shared governor
         (:mod:`repro.memory.budget`) for the duration of the run: RRR
-        chunks demote to compressed / spilled tiers and dense kernel
-        planes fall back to sparse paths rather than exceed it.  Seeds
+        chunks demote to compressed / spilled tiers and the dense
+        coverage scan falls back to CSR rather than exceed it.  Seeds
         are bit-identical at every budget — only wall-clock and
         residency change.  ``None`` defers to
         ``REPRO_MEMORY_BUDGET_MB`` (then the legacy
@@ -96,7 +89,6 @@ class IMMOptions:
     profile: bool = False
     resilience: ResilienceOptions | None = None
     data_plane: str | None = None
-    visited_mode: str | None = None
     coverage_scan: str | None = None
     memory_budget_mb: float | None = None
 
@@ -129,12 +121,6 @@ class IMMOptions:
                     "choose 'pickle' or 'shm' (or None for the default)"
                 )
             object.__setattr__(self, "data_plane", plane)
-        if self.visited_mode is not None:
-            from repro.kernels import resolve_visited_mode
-
-            object.__setattr__(
-                self, "visited_mode", resolve_visited_mode(self.visited_mode)
-            )
         if self.coverage_scan is not None:
             from repro.kernels import resolve_coverage_scan
 

@@ -1,10 +1,11 @@
-"""Word-parallel bitset kernels — the host-side hot-loop substrate.
+"""Host-side hot-loop kernels.
 
-``repro.kernels`` is the CPU analogue of the device's word-parallel
-inner loops: packed uint64 primitives (:mod:`repro.kernels.bitset`),
-the dense visited/membership planes built on them
-(:mod:`repro.kernels.planes`), and the mode/budget resolution that
-decides when the dense paths run (:mod:`repro.kernels.modes`).
+``repro.kernels`` is the CPU analogue of the device's inner loops: the
+samplers' visited-key set (:mod:`repro.kernels.keyset`), packed uint64
+primitives (:mod:`repro.kernels.bitset`), the selection-side membership
+plane built on them (:mod:`repro.kernels.planes`), and the mode/budget
+resolution that decides when the dense scan runs
+(:mod:`repro.kernels.modes`).
 """
 
 from repro.kernels.bitset import (
@@ -25,15 +26,12 @@ from repro.kernels.modes import (
     DEFAULT_PLANE_BUDGET_BYTES,
     ENV_BUDGET_MB,
     ENV_COVERAGE_SCAN,
-    ENV_VISITED_MODE,
-    VISITED_MODES,
     choose_scan_impl,
-    choose_visited_impl,
     plane_budget_bytes,
     resolve_coverage_scan,
-    resolve_visited_mode,
 )
-from repro.kernels.planes import MembershipPlane, VisitedPlane
+from repro.kernels.keyset import KeySet
+from repro.kernels.planes import MembershipPlane
 
 __all__ = [
     "WORD_BITS",
@@ -51,13 +49,9 @@ __all__ = [
     "DEFAULT_PLANE_BUDGET_BYTES",
     "ENV_BUDGET_MB",
     "ENV_COVERAGE_SCAN",
-    "ENV_VISITED_MODE",
-    "VISITED_MODES",
     "choose_scan_impl",
-    "choose_visited_impl",
     "plane_budget_bytes",
     "resolve_coverage_scan",
-    "resolve_visited_mode",
+    "KeySet",
     "MembershipPlane",
-    "VisitedPlane",
 ]

@@ -1,12 +1,12 @@
-"""Kernel-mode resolution: which visited/scan implementation runs.
+"""Kernel-mode resolution: which coverage-scan implementation runs.
 
-Both knobs are *operational* — every implementation produces
-bit-identical output — so, like the data plane, they are resolved at
-call time (explicit value > environment > ``auto``) and never become
-part of store or pool identities.  ``auto`` picks the dense bitset
-implementation only when its plane fits an explicit memory budget and
-falls back to the sparse path otherwise; fallbacks are counted
-(``kernels.bitset.fallbacks``), not raised.
+The knob is *operational* — both scans produce bit-identical seeds —
+so, like the data plane, it is resolved at call time (explicit value >
+environment > ``auto``) and never becomes part of store or pool
+identities.  ``auto`` picks the dense bitset scan only when its plane
+fits an explicit memory budget and falls back to the CSR scan
+otherwise; fallbacks are counted (``kernels.bitset.fallbacks``), not
+raised.
 """
 
 from __future__ import annotations
@@ -19,19 +19,16 @@ from repro.kernels.bitset import words_for_bits
 from repro.memory.budget import env_budget_bytes, governor
 from repro.utils.errors import ValidationError
 
-#: how the samplers keep per-traversal visited state
-VISITED_MODES = ("auto", "sorted", "bitset")
 #: how seed selection computes marginal coverage
 COVERAGE_SCANS = ("auto", "csr", "bitset")
 
-ENV_VISITED_MODE = "REPRO_VISITED_MODE"
 ENV_COVERAGE_SCAN = "REPRO_COVERAGE_SCAN"
 #: legacy name; both it and REPRO_MEMORY_BUDGET_MB now feed the shared
 #: governor (see :mod:`repro.memory.budget`)
 ENV_BUDGET_MB = "REPRO_KERNEL_BUDGET_MB"
 
-#: default ceiling for any single dense bit plane (visited plane or
-#: membership plane); ``auto`` falls back to the sparse path above it
+#: default ceiling for the dense membership plane; ``auto`` falls back
+#: to the CSR scan above it
 DEFAULT_PLANE_BUDGET_BYTES = 64 * 1024 * 1024
 
 
@@ -67,20 +64,6 @@ def _plane_fits(plane_bytes: int) -> bool:
     return gov.request(plane_bytes)
 
 
-def resolve_visited_mode(value: Optional[str] = None) -> str:
-    """Normalize a visited-mode request (explicit > env > ``auto``)."""
-    if value is None:
-        value = os.environ.get(ENV_VISITED_MODE) or None
-    if value is None:
-        return "auto"
-    mode = str(value).strip().lower()
-    if mode not in VISITED_MODES:
-        raise ValidationError(
-            f"unknown visited mode {value!r}; choose one of {VISITED_MODES}"
-        )
-    return mode
-
-
 def resolve_coverage_scan(value: Optional[str] = None) -> str:
     """Normalize a coverage-scan request (explicit > env > ``auto``)."""
     if value is None:
@@ -93,24 +76,6 @@ def resolve_coverage_scan(value: Optional[str] = None) -> str:
             f"unknown coverage scan {value!r}; choose one of {COVERAGE_SCANS}"
         )
     return scan
-
-
-def choose_visited_impl(mode: str, batch: int, n: int) -> str:
-    """Pick ``'bitset'`` or ``'sorted'`` for one sampler batch.
-
-    The whole ``(batch x n)``-bit plane must fit the budget: shrinking
-    the plane by running the batch in sequential slices would reorder
-    RNG consumption and break bit-identical parity, so over budget the
-    batch runs on the sorted-key path instead (counted as a fallback).
-    """
-    mode = resolve_visited_mode(mode)
-    if mode != "auto":
-        return mode
-    plane_bytes = int(batch) * words_for_bits(n) * 8
-    if _plane_fits(plane_bytes):
-        return "bitset"
-    obs.counter_add("kernels.bitset.fallbacks", 1)
-    return "sorted"
 
 
 def choose_scan_impl(scan: str, n: int, num_sets: int) -> str:

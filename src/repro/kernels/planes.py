@@ -1,21 +1,13 @@
-"""Dense bit planes built on the word-parallel kernels.
+"""The dense selection plane built on the word-parallel kernels.
 
-Two packed planes serve the two hot paths:
+:class:`MembershipPlane` is the selection-side ``(n x theta)``-bit
+vertex->set membership plane.  A vertex's marginal coverage is
+``popcount(row AND NOT covered)`` over packed words — the host mirror
+of §3.5's thread-based scan — and rows extend append-only as the RRR
+stream grows, so one plane serves every prefix of a sweep.
 
-* :class:`VisitedPlane` — the sampler-side ``(batch x n)``-bit visited
-  plane, one row per in-flight RRR traversal.  Membership and dedup are
-  one word gather / one OR-scatter per candidate, replacing the sorted
-  key array's per-round ``unique`` + ``searchsorted`` + merge; at batch
-  end the rows decode back to the exact sid-major / vertex-ascending
-  key stream the sorted path maintains incrementally.
-* :class:`MembershipPlane` — the selection-side ``(n x theta)``-bit
-  vertex->set membership plane.  A vertex's marginal coverage is
-  ``popcount(row AND NOT covered)`` over packed words — the host mirror
-  of §3.5's thread-based scan — and rows extend append-only as the RRR
-  stream grows, so one plane serves every prefix of a sweep.
-
-Both planes account their footprint and word traffic to
-:mod:`repro.obs` (``kernels.bitset.*`` / ``kernels.membership.*``).
+The plane accounts its footprint and word traffic to :mod:`repro.obs`
+(``kernels.membership.plane_bytes`` / ``kernels.bitset.words_touched``).
 """
 
 from __future__ import annotations
@@ -25,22 +17,9 @@ import weakref
 import numpy as np
 
 from repro import obs
-from repro.kernels.bitset import (
-    WORD_BITS,
-    _ONE,
-    decode_bits,
-    popcount_rows,
-    scatter_or,
-    split_index,
-    words_for_bits,
-)
+from repro.kernels.bitset import scatter_or, split_index, words_for_bits
 from repro.memory.budget import governor
 from repro.utils.errors import ValidationError
-
-#: cap on the transient ``unpackbits`` expansion during plane
-#: extraction: rows decode in tiles of at most this many plane words
-#: (64 flag bytes per word), keeping the scratch under ~16 MiB
-EXTRACT_TILE_WORDS = 1 << 18
 
 #: the governor account dense planes report under
 ACCOUNT = "kernels.planes"
@@ -49,9 +28,9 @@ ACCOUNT = "kernels.planes"
 class _PlaneCharge:
     """Governor accounting for one plane's resident bytes.
 
-    Planes have no ``close()`` — a visited plane lives for one sampler
-    batch, a membership plane for a store's lifetime — so the credit is
-    tied to garbage collection via ``weakref.finalize`` on the owner.
+    A plane has no ``close()`` — a membership plane lives for a store's
+    lifetime — so the credit is tied to garbage collection via
+    ``weakref.finalize`` on the owner.
     The governor instance is captured at creation: after a test's
     ``reset_governor`` the release still balances the ledger it charged.
     """
@@ -73,101 +52,6 @@ class _PlaneCharge:
         if self._nbytes:
             self._gov.account(ACCOUNT, "resident", -self._nbytes)
             self._nbytes = 0
-
-
-class VisitedPlane:
-    """A ``(batch x n)``-bit dense visited plane for lockstep traversals.
-
-    Row ``sid`` holds the visited bitmap of traversal ``sid``; ids are
-    vertex numbers.  All mutating entry points take parallel ``(sid,
-    vertex)`` arrays.
-    """
-
-    __slots__ = (
-        "batch", "n", "words_per_row", "_plane", "_flat", "_charge",
-        "__weakref__",
-    )
-
-    def __init__(self, batch: int, n: int):
-        if batch < 0 or n < 1:
-            raise ValidationError("VisitedPlane needs batch >= 0 and n >= 1")
-        self.batch = int(batch)
-        self.n = int(n)
-        self.words_per_row = words_for_bits(n)
-        self._plane = np.zeros((self.batch, self.words_per_row), dtype=np.uint64)
-        self._flat = self._plane.reshape(-1)
-        self._charge = _PlaneCharge()
-        self._charge.resize(self._plane.nbytes)
-        weakref.finalize(self, self._charge.release)
-        obs.gauge_max("kernels.bitset.plane_bytes", int(self._plane.nbytes))
-
-    @property
-    def nbytes(self) -> int:
-        return int(self._plane.nbytes)
-
-    def _word_index(self, sid: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        word, mask = split_index(vertices)
-        return sid * self.words_per_row + word, mask
-
-    def test(self, sid: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-        """Membership gather: ``True`` where ``(sid, vertex)`` is visited."""
-        if sid.size == 0:
-            return np.zeros(0, dtype=bool)
-        idx, _ = self._word_index(sid, vertices)
-        shift = np.asarray(vertices).astype(np.uint64) & np.uint64(WORD_BITS - 1)
-        obs.counter_add("kernels.bitset.words_touched", idx.size)
-        return ((self._flat[idx] >> shift) & _ONE).astype(bool)
-
-    def set_rowwise_unique(self, sid: np.ndarray, vertices: np.ndarray) -> None:
-        """Set bits when each row appears at most once (no shared words:
-        distinct rows never collide, so a fancy-index ``|=`` is exact)."""
-        if sid.size == 0:
-            return
-        idx, mask = self._word_index(sid, vertices)
-        self._flat[idx] |= mask
-        obs.counter_add("kernels.bitset.words_touched", idx.size)
-
-    def set_sorted_keys(self, sid: np.ndarray, vertices: np.ndarray) -> None:
-        """Set bits for key-ascending ``(sid, vertex)`` pairs (duplicate
-        *words* allowed — nearby vertices of one row — handled by the
-        reduceat OR-scatter)."""
-        if sid.size == 0:
-            return
-        idx, mask = self._word_index(sid, vertices)
-        scatter_or(self._flat, idx, mask)
-        obs.counter_add("kernels.bitset.words_touched", idx.size)
-
-    def sizes(self) -> np.ndarray:
-        """Per-row set-bit counts (the per-set visited sizes)."""
-        return popcount_rows(self._plane)
-
-    def extract_keys(self) -> np.ndarray:
-        """The visited stream as ascending ``sid * n + v`` keys.
-
-        Rows decode in word tiles (bounding the transient bit-unpack
-        scratch); row-major word order makes the concatenated result
-        exactly the sorted key array the merge-based path maintains.
-        """
-        rows_per_tile = max(1, EXTRACT_TILE_WORDS // max(self.words_per_row, 1))
-        pieces: list[np.ndarray] = []
-        row_bits = self.words_per_row * WORD_BITS
-        tiles = 0
-        for base in range(0, self.batch, rows_per_tile):
-            tile = self._flat[
-                base * self.words_per_row : (base + rows_per_tile) * self.words_per_row
-            ]
-            positions = decode_bits(tile)
-            tiles += 1
-            if positions.size == 0:
-                continue
-            tile_sid, v = np.divmod(positions, row_bits)
-            pieces.append((base + tile_sid) * self.n + v)
-        obs.counter_add("kernels.bitset.tiles", tiles)
-        if not pieces:
-            return np.empty(0, dtype=np.int64)
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces)
 
 
 class MembershipPlane:

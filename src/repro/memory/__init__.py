@@ -7,8 +7,7 @@ governor (:func:`governor`):
 * the :class:`~repro.shm.arena.ChunkArena` and the warm-start
   :class:`~repro.rrr.store.RRRStore`'s chunk payloads (account
   ``rrr.chunks`` / the concat cache ``rrr.concat``);
-* the dense kernel planes —
-  :class:`~repro.kernels.planes.VisitedPlane` /
+* the dense selection plane,
   :class:`~repro.kernels.planes.MembershipPlane` (account
   ``kernels.planes``);
 * the serving tier's :class:`~repro.service.cache.SubstrateTable` and

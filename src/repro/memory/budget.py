@@ -183,8 +183,8 @@ class MemoryBudget:
     def would_fit(self, nbytes: int) -> bool:
         """Whether ``nbytes`` more RAM fits without demoting anything.
 
-        The kernel planes gate their dense-plane allocations on this
-        (plus their own per-plane ceiling).
+        The coverage scan gates its dense membership plane on this
+        (plus the per-plane ceiling).
         """
         headroom = self.headroom()
         return headroom is None or int(nbytes) <= headroom

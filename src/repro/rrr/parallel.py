@@ -68,7 +68,7 @@ from repro.resilience.faults import fire as fire_fault
 from repro.resilience.options import DEFAULT_RESILIENCE, ResilienceOptions
 from repro.resilience.report import ResilienceReport
 from repro.rrr.collection import RRRCollection
-from repro.rrr.trace import SampleTrace, empty_trace
+from repro.rrr.trace import SampleTrace
 from repro.shm.segments import resolve_data_plane
 from repro.shm.transport import PackedResult
 from repro.utils.errors import (
@@ -112,7 +112,6 @@ def _worker_sample(args):
         seed_seq,
         eliminate_sources,
         batch_size,
-        visited_mode,
         pack_results,
         job_index,
         attempt,
@@ -132,7 +131,6 @@ def _worker_sample(args):
         rng=rng,
         eliminate_sources=eliminate_sources,
         batch_size=batch_size,
-        visited_mode=visited_mode,
     )
     if pack_results:
         return PackedResult.encode(
@@ -334,7 +332,6 @@ class SamplerPool:
         rng=None,
         eliminate_sources: bool = False,
         batch_size: int = 16384,
-        visited_mode: Optional[str] = None,
         resilience: Optional[ResilienceOptions] = None,
         arena: "Optional[ChunkArena]" = None,
     ) -> tuple[RRRCollection, SampleTrace]:
@@ -363,7 +360,6 @@ class SamplerPool:
                 rng=rng,
                 eliminate_sources=eliminate_sources,
                 batch_size=batch_size,
-                visited_mode=visited_mode,
             )
 
         res = resilience if resilience is not None else DEFAULT_RESILIENCE
@@ -379,7 +375,6 @@ class SamplerPool:
                 children[i],
                 eliminate_sources,
                 batch_size,
-                visited_mode,
                 pack_results,
             )
             for i in range(self.n_jobs)
@@ -420,9 +415,7 @@ class SamplerPool:
             # one arena chunk; traces decode separately (diagnostics)
             chunk = arena.merge_payloads(results, self.graph.n)
             collection = chunk.collection(self.graph.n)
-            trace = empty_trace()
-            for payload in results:
-                trace = trace.merged_with(payload.decode_trace())
+            trace = SampleTrace.concat([p.decode_trace() for p in results])
             return collection, trace
         decoded = [
             r.decode() if isinstance(r, PackedResult) else r for r in results
@@ -444,9 +437,7 @@ class SamplerPool:
         collection = RRRCollection.concat(parts)
         if arena is not None:
             collection = arena.adopt(collection)
-        trace = empty_trace()
-        for _, _, _, t in decoded:
-            trace = trace.merged_with(t)
+        trace = SampleTrace.concat([t for _, _, _, t in decoded])
         return collection, trace
 
     # -- supervision ---------------------------------------------------------
@@ -603,7 +594,7 @@ class SamplerPool:
         """In-process fallback for one job — bit-identical to the worker
         path, since the job's ``SeedSequence`` pins its stream and fault
         injection only ever fires inside worker processes."""
-        model, count, seed_seq, eliminate_sources, batch_size, visited_mode, _pack = job
+        model, count, seed_seq, eliminate_sources, batch_size, _pack = job
         from repro.rrr import get_sampler
 
         rng = np.random.Generator(np.random.PCG64(seed_seq))
@@ -613,7 +604,6 @@ class SamplerPool:
             rng=rng,
             eliminate_sources=eliminate_sources,
             batch_size=batch_size,
-            visited_mode=visited_mode,
         )
         return (collection.flat, collection.offsets, collection.sources, trace)
 
@@ -693,7 +683,6 @@ def sample_rrr_parallel(
     n_jobs: int = 2,
     eliminate_sources: bool = False,
     batch_size: int = 16384,
-    visited_mode: Optional[str] = None,
     pool: Optional[SamplerPool] = None,
     resilience: Optional[ResilienceOptions] = None,
     data_plane: Optional[str] = None,
@@ -722,6 +711,5 @@ def sample_rrr_parallel(
         rng=rng,
         eliminate_sources=eliminate_sources,
         batch_size=batch_size,
-        visited_mode=visited_mode,
         resilience=resilience,
     )

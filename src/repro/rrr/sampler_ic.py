@@ -8,150 +8,98 @@ The implementation runs a *batch* of independent traversals in lockstep —
 one NumPy round expands the frontiers of every unfinished set at once —
 which is the host-side mirror of the paper's one-warp-per-block kernel.
 
-Visited bookkeeping has two interchangeable implementations, selected by
-``visited_mode``:
-
-* ``sorted`` — per-set keys ``sid * n + v`` in a single sorted array,
-  deduped per round with ``searchsorted`` plus a linear gap-stream merge;
-  because that array is sid-major / vertex-ascending, the final flat
-  store comes out in exactly the paper's sorted-per-set layout for free.
-* ``bitset`` — a dense ``(batch x n)``-bit :class:`VisitedPlane` (the
-  host mirror of the device's visited bitmask ``M``): membership and
-  insertion are one word gather / OR-scatter per candidate, and the
-  plane decodes to the identical sorted key stream at batch end.
-
-Both paths draw from the generator in exactly the same order — every
-draw happens on the *pre-dedup* frontier expansion — so collections and
-traces are bit-identical; ``auto`` picks the bitset plane whenever it
-fits the kernel memory budget.
+As in §3.2, the BFS queue *is* the RRR set: each round's newly reached
+keys ``sid * n + v`` are appended to a list, and one sort at batch end
+turns that list into the sid-major / vertex-ascending flat layout.
+Membership and within-round de-duplication go through one hash
+:class:`~repro.kernels.keyset.KeySet`, so a round costs O(frontier +
+candidates) — never O(batch) or O(everything visited so far).  Each
+round's frontier is sorted before it expands, so the generator is drawn
+in the same order as by a traversal that kept its visited set sorted.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import obs
 from repro.graphs.csc import DirectedGraph
-from repro.kernels import VisitedPlane, choose_visited_impl
-from repro.rrr.collection import RRRBuilder, RRRCollection
+from repro.kernels.keyset import KeySet
+from repro.rrr.batching import sample_batches
+from repro.rrr.collection import RRRCollection
 from repro.rrr.trace import SampleTrace
 from repro.utils.errors import ValidationError
 from repro.utils.rng import as_generator
-from repro.utils.segments import segmented_arange
 
-#: Refuse to keep attempting sets past this multiple of the request — the
-#: source-elimination loop would otherwise spin forever on an edgeless graph.
-MAX_ATTEMPT_FACTOR = 64
+
+def _run_heads(sorted_ids: np.ndarray) -> np.ndarray:
+    """Start positions of the runs of equal values in a non-empty
+    sorted array."""
+    mark = np.empty(sorted_ids.size, dtype=bool)
+    mark[0] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=mark[1:])
+    return np.flatnonzero(mark)
 
 
 def _reverse_bfs_batch(
     graph: DirectedGraph,
     sources: np.ndarray,
     gen: np.random.Generator,
-    visited_impl: str = "sorted",
+    keyset: KeySet,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep reverse BFS for one batch of sources.
 
     Returns ``(visited_keys_sorted, sizes, rounds, edges_examined)`` where
-    keys are ``sid * n + v`` and all per-set arrays have batch length.
-
-    ``visited_impl`` switches only the dedup/membership bookkeeping; the
-    frontier contents (and therefore every RNG draw) are identical under
-    both, which is what keeps the modes bit-identical.
+    keys are ``sid * n + v`` (in ``keyset.dtype``) and all per-set arrays
+    have batch length.
+    ``keyset`` is cleared and reused.
     """
     n = graph.n
     batch = sources.size
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    keyset.clear()
     sid = np.arange(batch, dtype=np.int64)
-    use_plane = visited_impl == "bitset"
-    if use_plane:
-        plane = VisitedPlane(batch, n)
-        plane.set_rowwise_unique(sid, sources)
-        visited = None
-    else:
-        plane = None
-        visited = np.sort(sid * n + sources)
+    seeds = sid * n + sources
+    keyset.insert(seeds)
+    # the per-round runs are kept in the key set's (often int32) width
+    found = [seeds.astype(keyset.dtype)]
     frontier_sid, frontier_v = sid, sources
+    head = sid  # one source per set: every position starts a run
+    sizes = np.ones(batch, dtype=np.int64)
     rounds = np.zeros(batch, dtype=np.int64)
     edges = np.zeros(batch, dtype=np.int64)
 
     while frontier_sid.size:
-        # sets with a live frontier advance one round: a bincount mask
-        # instead of fancy-indexing through np.unique (no sort)
-        rounds += np.bincount(frontier_sid, minlength=batch) > 0
+        # the frontier is sid-major, so its run heads name the live sets
+        live = frontier_sid[head]
+        rounds[live] += 1
         starts = indptr[frontier_v]
         lengths = indptr[frontier_v + 1] - starts
-        edge_idx = segmented_arange(starts, lengths)
-        if edge_idx.size == 0:
+        ends = np.cumsum(lengths)
+        total = int(ends[-1])
+        if total == 0:
             break
-        e_sid = np.repeat(frontier_sid, lengths)
-        edges += np.bincount(e_sid, minlength=batch)
-        e_v = indices[edge_idx].astype(np.int64)
-        hit = gen.random(edge_idx.size) <= weights[edge_idx]
-        c_keys = e_sid[hit] * n + e_v[hit]
-        if c_keys.size == 0:
+        edges[live] += np.add.reduceat(lengths, head)
+        # edge ids of the frontier's in-edge slices, laid end to end
+        edge_idx = np.arange(total, dtype=np.int64)
+        edge_idx += np.repeat(starts - (ends - lengths), lengths)
+        hit = np.flatnonzero(gen.random(total) <= weights[edge_idx])
+        if hit.size == 0:
             break
-        c_keys = np.unique(c_keys)  # dedup within the round
-        if use_plane:
-            c_sid, c_v = np.divmod(c_keys, n)
-            new_keys = c_keys[~plane.test(c_sid, c_v)]
-            if new_keys.size == 0:
-                break
-            frontier_sid, frontier_v = np.divmod(new_keys, n)
-            # ascending keys -> non-decreasing word indices for the scatter
-            plane.set_sorted_keys(frontier_sid, frontier_v)
-        else:
-            pos = np.searchsorted(visited, c_keys)
-            probe = np.minimum(pos, visited.size - 1)
-            is_new = visited[probe] != c_keys
-            new_keys = c_keys[is_new]
-            if new_keys.size == 0:
-                break
-            # visited and new_keys are sorted and disjoint: scatter each new
-            # key at its insertion offset and stream the old array into the
-            # gaps — an O(|visited| + |new|) merge replacing the former
-            # O(total log total) concatenate-and-sort
-            target = pos[is_new] + np.arange(new_keys.size, dtype=np.int64)
-            merged = np.empty(visited.size + new_keys.size, dtype=np.int64)
-            merged[target] = new_keys
-            keep = np.ones(merged.size, dtype=bool)
-            keep[target] = False
-            merged[keep] = visited
-            visited = merged
-            frontier_sid, frontier_v = np.divmod(new_keys, n)
+        c_keys = np.repeat(frontier_sid, lengths)[hit] * n + indices[edge_idx[hit]]
+        new_keys = np.sort(c_keys[keyset.insert(c_keys)])
+        if new_keys.size == 0:
+            break
+        found.append(new_keys.astype(keyset.dtype))
+        frontier_sid, frontier_v = np.divmod(new_keys, n)
+        head = _run_heads(frontier_sid)
+        sizes[frontier_sid[head]] += np.diff(head, append=frontier_sid.size)
 
-    if use_plane:
-        visited = plane.extract_keys()
-        sizes = plane.sizes()
-    else:
-        sizes = np.bincount(visited // n, minlength=batch)
+    # every round's keys are sorted runs; a stable (merge-based) sort
+    # joins them in O(total log rounds), in place once the runs are freed
+    visited = np.concatenate(found)
+    del found
+    visited.sort(kind="stable")
     return visited, sizes, rounds, edges
-
-
-def _strip_sources(
-    visited: np.ndarray, sources: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Remove each set's source key from the sorted visited array."""
-    batch = sources.size
-    source_keys = np.arange(batch, dtype=np.int64) * n + sources
-    keep = np.ones(visited.size, dtype=bool)
-    pos = np.searchsorted(visited, source_keys)
-    keep[pos] = False  # sources are always present in their own set
-    stripped = visited[keep]
-    sizes = np.bincount(stripped // n, minlength=batch)
-    return stripped, sizes
-
-
-def _flatten_kept(
-    visited: np.ndarray, kept_mask: np.ndarray, n: int
-) -> np.ndarray:
-    """Per-set vertex ids of the kept sets, as the int32 flat store."""
-    if kept_mask.all():
-        return (visited % n).astype(np.int32)
-    # one divmod pass yields both the per-element set id (for the kept
-    # filter) and the vertex id (for the store)
-    set_of_elem, flat_v = np.divmod(visited, n)
-    return flat_v[kept_mask[set_of_elem]].astype(np.int32)
 
 
 def sample_rrr_ic(
@@ -160,7 +108,6 @@ def sample_rrr_ic(
     rng=None,
     eliminate_sources: bool = False,
     batch_size: int = 16384,
-    visited_mode: str | None = None,
 ) -> tuple[RRRCollection, SampleTrace]:
     """Sample ``num_sets`` IC RRR sets (kept sets, post source elimination).
 
@@ -169,72 +116,16 @@ def sample_rrr_ic(
     are discarded and do not count toward ``num_sets``; their traversal
     work still appears in the returned trace, which is what they cost the
     device.
-
-    ``visited_mode`` is operational only (``auto``/``sorted``/``bitset``;
-    default resolves via ``REPRO_VISITED_MODE``): every mode returns
-    bit-identical collections and traces.
     """
     if graph.weights is None:
         raise ValidationError("sample_rrr_ic requires IC edge weights")
     if num_sets < 0:
         raise ValidationError("num_sets must be non-negative")
     gen = as_generator(rng)
-    builder = RRRBuilder(graph.n)
-    trace_chunks: list[SampleTrace] = []
-    attempts = 0
-    raw_singletons = 0
 
-    while builder.num_sets < num_sets:
-        remaining = num_sets - builder.num_sets
-        batch = int(min(batch_size, max(remaining, 256)))
-        if attempts > MAX_ATTEMPT_FACTOR * max(num_sets, 1) + 1024:
-            raise ValidationError(
-                "source elimination discarded nearly every set "
-                f"(attempted {attempts} for {num_sets}); the graph has too "
-                "few edges for the requested sampling"
-            )
-        impl = choose_visited_impl(visited_mode, batch, graph.n)
-        sources = gen.integers(0, graph.n, size=batch, dtype=np.int64)
-        with obs.span("rrr.batch.ic"):
-            visited, sizes, rounds, edges = _reverse_bfs_batch(
-                graph, sources, gen, visited_impl=impl
-            )
-        attempts += batch
-        raw_singletons += int(np.sum(sizes == 1))
-        if obs.enabled():  # guard the argument-side sums, not just the sink
-            obs.counter_add("rrr.sets_attempted", batch)
-            obs.counter_add("rrr.edges_examined", int(edges.sum()))
-            obs.observe("rrr.batch_size", batch)
-        if eliminate_sources:
-            visited, sizes = _strip_sources(visited, sources, graph.n)
-            kept_mask = sizes > 0
-        else:
-            kept_mask = np.ones(batch, dtype=bool)
-        # drop discarded sets from the store but keep them in the trace
-        flat = _flatten_kept(visited, kept_mask, graph.n)
-        builder.append_batch(flat, sizes[kept_mask], sources[kept_mask])
-        if obs.enabled():
-            kept = int(kept_mask.sum())
-            obs.counter_add("rrr.sets_kept", kept)
-            obs.counter_add("rrr.sets_discarded", batch - kept)
-        trace_chunks.append(
-            SampleTrace(
-                sizes=sizes,
-                rounds=rounds,
-                edges_examined=edges,
-                kept_mask=kept_mask,
-                raw_singletons=int(np.sum(sizes == 1) if not eliminate_sources else 0),
-                sources=sources,
-            )
-        )
+    def kernel(sources, keyset):
+        return _reverse_bfs_batch(graph, sources, gen, keyset)
 
-    builder.truncate_to(num_sets)
-    collection = builder.finalize()
-    obs.counter_add("rrr.sets_sampled", collection.num_sets)
-    from repro.rrr.trace import empty_trace
-
-    trace = empty_trace()
-    for chunk in trace_chunks:
-        trace = trace.merged_with(chunk)
-    trace.raw_singletons = raw_singletons
-    return collection, trace
+    return sample_batches(
+        graph, num_sets, gen, eliminate_sources, batch_size, kernel, "rrr.batch.ic"
+    )

@@ -107,7 +107,6 @@ class RRRStore:
         checkpoint_dir=None,
         resilience: Optional[ResilienceOptions] = None,
         data_plane: Optional[str] = None,
-        visited_mode: Optional[str] = None,
     ):
         if graph.weights is None:
             raise ValidationError("RRRStore requires a weighted graph")
@@ -132,10 +131,6 @@ class RRRStore:
         # operational knob like checkpoint_dir — planes are
         # bit-identical, so it stays out of key()
         self.data_plane = resolve_data_plane(data_plane)
-        from repro.kernels import resolve_visited_mode
-
-        # same contract: every visited mode draws the same stream
-        self.visited_mode = resolve_visited_mode(visited_mode)
         self._arena = None  # lazy ChunkArena (shm plane, n_jobs > 1)
         if checkpoint_dir is None and resilience is not None:
             checkpoint_dir = resilience.checkpoint_dir
@@ -344,7 +339,6 @@ class RRRStore:
                 rng=rng,
                 eliminate_sources=self.eliminate_sources,
                 batch_size=self.batch_size,
-                visited_mode=self.visited_mode,
                 resilience=self.resilience,
                 arena=self._ensure_arena(),
             )
@@ -356,7 +350,6 @@ class RRRStore:
             rng=rng,
             eliminate_sources=self.eliminate_sources,
             batch_size=self.batch_size,
-            visited_mode=self.visited_mode,
         )
 
     # -- lifecycle -----------------------------------------------------------
@@ -506,9 +499,7 @@ class RRRStore:
                 collection, trace = parts[0]
             else:
                 collection = RRRCollection.concat([c for c, _ in parts])
-                trace = empty_trace()
-                for _, t in parts:
-                    trace = trace.merged_with(t)
+                trace = SampleTrace.concat([t for _, t in parts])
             self._collection = collection
             self._trace = trace
             chunk0 = self._chunks[0]
@@ -593,7 +584,6 @@ def shared_store(
     checkpoint_dir=None,
     resilience: Optional[ResilienceOptions] = None,
     data_plane: Optional[str] = None,
-    visited_mode: Optional[str] = None,
 ) -> RRRStore:
     """The process-wide :class:`RRRStore` for this stream identity.
 
@@ -601,11 +591,10 @@ def shared_store(
     return the same store, which is what turns the sweep's sampling cost
     from O(Σθᵢ) into O(max θᵢ).
 
-    ``checkpoint_dir`` / ``resilience`` / ``data_plane`` /
-    ``visited_mode`` are operational knobs, not part of the stream
-    identity: a cache hit keeps the first
-    store's configuration (the planes produce bit-identical sets, so the
-    stream is the same either way).  A cached store whose explicit pool
+    ``checkpoint_dir`` / ``resilience`` / ``data_plane`` are
+    operational knobs, not part of the stream identity: a cache hit
+    keeps the first store's configuration (the planes produce
+    bit-identical sets, so the stream is the same either way).  A cached store whose explicit pool
     has since been closed is healed on lookup (its pool reference is
     dropped, so the next top-up re-acquires a live :func:`shared_pool`)
     — stale registry state can never serve a dead executor.
@@ -641,7 +630,6 @@ def shared_store(
             checkpoint_dir=checkpoint_dir,
             resilience=resilience,
             data_plane=data_plane,
-            visited_mode=visited_mode,
         )
         assert store.key() == key
         _STORES[key] = store

@@ -9,8 +9,9 @@ source-elimination heuristic changes (§3.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from functools import reduce
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -63,21 +64,36 @@ class SampleTrace:
 
     def merged_with(self, other: "SampleTrace") -> "SampleTrace":
         """Concatenate two traces (successive sampling phases of IMM)."""
+        return SampleTrace.concat([self, other])
+
+    @staticmethod
+    def concat(traces: "Sequence[SampleTrace]") -> "SampleTrace":
+        """Concatenate traces in order: one ``np.concatenate`` per field.
+
+        The per-set arrays come out int64 (``kept_mask`` bool) whatever
+        the parts hold; an empty sequence gives :func:`empty_trace`.
+        """
         from repro.resilience.report import merge_reports
 
+        if not traces:
+            return empty_trace()
+
+        def cat(field: str, dtype) -> np.ndarray:
+            return np.concatenate([getattr(t, field) for t in traces], dtype=dtype)
+
         return SampleTrace(
-            sizes=np.concatenate([self.sizes, other.sizes]),
-            rounds=np.concatenate([self.rounds, other.rounds]),
-            edges_examined=np.concatenate([self.edges_examined, other.edges_examined]),
-            kept_mask=np.concatenate([self.kept_mask, other.kept_mask]),
-            raw_singletons=self.raw_singletons + other.raw_singletons,
-            sources=np.concatenate([self.sources, other.sources]),
-            resilience=merge_reports(self.resilience, other.resilience),
+            sizes=cat("sizes", np.int64),
+            rounds=cat("rounds", np.int64),
+            edges_examined=cat("edges_examined", np.int64),
+            kept_mask=cat("kept_mask", bool),
+            raw_singletons=sum(t.raw_singletons for t in traces),
+            sources=cat("sources", np.int64),
+            resilience=reduce(merge_reports, (t.resilience for t in traces), None),
         )
 
 
 def empty_trace() -> SampleTrace:
-    """A zero-length trace (identity for :meth:`SampleTrace.merged_with`)."""
+    """A zero-length trace (identity for :meth:`SampleTrace.concat`)."""
     z = np.empty(0, dtype=np.int64)
     return SampleTrace(
         sizes=z,

@@ -340,7 +340,6 @@ class InfluenceService:
                 checkpoint_dir=self.options.checkpoint_dir,
                 resilience=query.options.resilience,
                 data_plane=query.options.data_plane,
-                visited_mode=query.options.visited_mode,
             )
 
         return factory

@@ -1,7 +1,9 @@
-"""End-to-end kernel parity: the visited-mode and coverage-scan knobs
-are purely operational, so full IMM runs — serial, pooled over both
-data planes, fault-injected, and checkpoint-resumed — must produce
-bit-identical seeds and statistics whichever implementations run."""
+"""End-to-end kernel parity: the coverage-scan knob is purely
+operational, and the sampling kernel must draw the reference stream
+wherever it runs — serially, in pooled fork and spawn workers,
+fault-injected, and checkpoint-resumed.  Pooled runs are compared
+against the same per-job streams sampled serially in-process with the
+sorted-merge reference kernels (``tests/visited_oracle.py``)."""
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from repro.experiments.runner import compare_engines
 from repro.imm import IMMOptions, run_imm
 from repro.resilience import ResilienceOptions
 from repro.resilience.faults import ENV_VAR as FAULTS_ENV
-from repro.rrr import sample_rrr_parallel
+from repro.rrr import RRRCollection, sample_rrr_parallel
 from repro.rrr.parallel import shutdown_pools
 from repro.rrr.store import clear_stores
+from repro.utils.rng import spawn_seed_sequences
+from tests.visited_oracle import sample_with_oracle
 
 
 @pytest.fixture(autouse=True)
@@ -40,6 +44,26 @@ def _assert_same_result(ref, out):
     )
 
 
+def _assert_same_collection(coll, ref):
+    np.testing.assert_array_equal(coll.flat, ref.flat)
+    np.testing.assert_array_equal(coll.offsets, ref.offsets)
+    np.testing.assert_array_equal(coll.sources, ref.sources)
+
+
+def _serial_reference(graph, model, num_sets, seed, n_jobs):
+    """The pool's stream computed in-process: one reference run per job
+    seed sequence, with the pool's split (remainder on the last job)."""
+    share = num_sets // n_jobs
+    counts = [share] * n_jobs
+    counts[-1] += num_sets - share * n_jobs
+    parts = [
+        sample_with_oracle(graph, count, model,
+                           rng=np.random.Generator(np.random.PCG64(seq)))[0]
+        for count, seq in zip(counts, spawn_seed_sequences(seed, n_jobs))
+    ]
+    return RRRCollection.concat(parts)
+
+
 def _options(model, **kw):
     return IMMOptions(model=model, bounds=None, **kw)
 
@@ -48,29 +72,20 @@ def _options(model, **kw):
 def test_run_imm_parity_across_modes(model, small_ic_graph, small_lt_graph):
     graph = small_ic_graph if model == "IC" else small_lt_graph
     ref = run_imm(graph, 6, 0.3, rng=3,
-                  options=_options(model, visited_mode="sorted",
-                                   coverage_scan="csr"))
-    for visited, scan in (("bitset", "bitset"), ("auto", "auto"),
-                          ("bitset", "csr"), ("sorted", "bitset")):
+                  options=_options(model, coverage_scan="csr"))
+    for scan in ("bitset", "auto"):
         out = run_imm(graph, 6, 0.3, rng=3,
-                      options=_options(model, visited_mode=visited,
-                                       coverage_scan=scan))
+                      options=_options(model, coverage_scan=scan))
         _assert_same_result(ref, out)
 
 
 @pytest.mark.parametrize("model", ["IC", "LT"])
 def test_pooled_sampling_parity_fork(model, small_ic_graph, small_lt_graph):
-    """Workers resolve the mode from the job tuple, not their own env:
-    a 2-worker fork pool must match the serial stream in every mode."""
+    """A 2-worker fork pool reproduces the serially sampled job streams."""
     graph = small_ic_graph if model == "IC" else small_lt_graph
-    ref, _ = sample_rrr_parallel(graph, 500, rng=11, n_jobs=2,
-                                 visited_mode="sorted")
-    for mode in ("bitset", "auto"):
-        coll, _ = sample_rrr_parallel(graph, 500, rng=11, n_jobs=2,
-                                      visited_mode=mode)
-        np.testing.assert_array_equal(coll.flat, ref.flat)
-        np.testing.assert_array_equal(coll.offsets, ref.offsets)
-        np.testing.assert_array_equal(coll.sources, ref.sources)
+    ref = _serial_reference(graph, model, 500, 11, 2)
+    coll, _ = sample_rrr_parallel(graph, 500, model=model, rng=11, n_jobs=2)
+    _assert_same_collection(coll, ref)
     shutdown_pools()
 
 
@@ -78,57 +93,51 @@ def test_pooled_sampling_parity_spawn(small_ic_graph):
     """One spawn-context case: fresh interpreters, same stream."""
     from repro.rrr.parallel import SamplerPool
 
-    ref, _ = sample_rrr_parallel(small_ic_graph, 300, rng=13, n_jobs=2,
-                                 visited_mode="sorted")
+    ref = _serial_reference(small_ic_graph, "IC", 300, 13, 2)
     with SamplerPool(small_ic_graph, 2, mp_context="spawn") as pool:
-        coll, _ = pool.sample("IC", 300, rng=13, visited_mode="bitset")
-    np.testing.assert_array_equal(coll.flat, ref.flat)
-    np.testing.assert_array_equal(coll.offsets, ref.offsets)
+        coll, _ = pool.sample("IC", 300, rng=13)
+    _assert_same_collection(coll, ref)
 
 
-def test_crash_recovery_parity_in_bitset_mode(small_ic_graph, monkeypatch):
+def test_crash_recovery_parity(small_ic_graph, monkeypatch):
     """A worker crash mid-stream retries onto the same bit-identical
-    chunks regardless of the visited implementation."""
-    clean, _ = sample_rrr_parallel(small_ic_graph, 400, rng=7, n_jobs=2,
-                                   visited_mode="sorted")
+    chunks the serial reference samples."""
+    ref = _serial_reference(small_ic_graph, "IC", 400, 7, 2)
     monkeypatch.setenv(FAULTS_ENV, "crash@1")
     coll, trace = sample_rrr_parallel(
-        small_ic_graph, 400, rng=7, n_jobs=2, visited_mode="bitset",
+        small_ic_graph, 400, rng=7, n_jobs=2,
         resilience=ResilienceOptions(backoff_base=0.0),
     )
-    np.testing.assert_array_equal(coll.flat, clean.flat)
-    np.testing.assert_array_equal(coll.offsets, clean.offsets)
+    _assert_same_collection(coll, ref)
     assert trace.resilience.crashes >= 1
 
 
 def test_warm_start_checkpoint_resume_parity(tmp_path):
-    """A checkpointed sweep written under one visited mode resumes under
+    """A checkpointed sweep written under one coverage scan resumes under
     the other with the identical table row: chunk bytes on disk are
-    mode-independent."""
-    def config(visited, scan, checkpoint_dir):
+    scan-independent."""
+    def config(scan, checkpoint_dir):
         return ExperimentConfig(
             scale="tiny", datasets=("WV",), seed=7,
             theta_scale=0.2, sweep_theta_scale=0.2,
             warm_start=True, checkpoint_dir=str(checkpoint_dir),
-            visited_mode=visited, coverage_scan=scan,
+            coverage_scan=scan,
         )
 
-    cold = compare_engines("WV", 8, 0.3, "IC",
-                           config("sorted", "csr", tmp_path),
+    cold = compare_engines("WV", 8, 0.3, "IC", config("csr", tmp_path),
                            include_curipples=False)
     clear_stores()  # the "kill": in-memory state gone, checkpoints stay
-    resumed = compare_engines("WV", 8, 0.3, "IC",
-                              config("bitset", "bitset", tmp_path),
+    resumed = compare_engines("WV", 8, 0.3, "IC", config("bitset", tmp_path),
                               include_curipples=False)
     assert np.array_equal(resumed.eim.seeds, cold.eim.seeds)
     assert np.array_equal(resumed.gim.seeds, cold.gim.seeds)
     assert resumed.eim.theta == cold.eim.theta
     assert resumed.table_cell_vs_gim() == cold.table_cell_vs_gim()
 
-    # and a from-scratch bitset sweep agrees with the sorted one
+    # and a from-scratch sweep agrees with the resumed one
     clear_stores()
     fresh = compare_engines("WV", 8, 0.3, "IC",
-                            config("bitset", "bitset", tmp_path / "fresh"),
+                            config("bitset", tmp_path / "fresh"),
                             include_curipples=False)
     assert np.array_equal(fresh.eim.seeds, cold.eim.seeds)
     assert fresh.eim.theta == cold.eim.theta

@@ -1,10 +1,11 @@
-"""docs/configuration.md must cover the entire configuration surface.
+"""docs/configuration.md must match the configuration surface exactly.
 
-The reference page is generated-by-hand but *checked* by machine: this
-test enumerates every ``IMMOptions`` / ``ServiceOptions`` field, every
+The reference page is generated-by-hand but *checked* by machine, in
+both directions: every ``IMMOptions`` / ``ServiceOptions`` field, every
 ``REPRO_*`` environment variable the source tree reads, and every CLI
-flag ``repro.cli`` defines, and fails if any is missing from the docs —
-so adding a knob without documenting it breaks CI.
+flag ``repro.cli`` defines must be documented — and every field, variable
+and flag the page documents must still exist.  Adding a knob without
+documenting it, or removing one without deleting its row, breaks CI.
 """
 
 import dataclasses
@@ -39,6 +40,19 @@ def _cli_flags():
     return set(re.findall(r'"(--[a-z][a-z-]*)"', text))
 
 
+def _section(doc_text: str, heading: str) -> str:
+    """The body of the ``## `` section whose title starts with ``heading``."""
+    parts = re.split(r"^## ", doc_text, flags=re.M)
+    matches = [p for p in parts if p.startswith(heading)]
+    assert matches, f"{DOC} has no section {heading!r}"
+    return matches[0]
+
+
+def _table_names(section: str) -> set:
+    """First-column backticked names of a section's table rows."""
+    return set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.M))
+
+
 def test_every_imm_option_documented(doc_text):
     missing = [
         f.name for f in dataclasses.fields(IMMOptions)
@@ -67,3 +81,33 @@ def test_every_cli_flag_documented(doc_text):
     assert flags, "no CLI flags found in repro.cli — test is broken"
     missing = sorted(f for f in flags if f"`{f}`" not in doc_text)
     assert not missing, f"CLI flags missing from {DOC}: {missing}"
+
+
+def test_documented_imm_options_exist(doc_text):
+    documented = _table_names(_section(doc_text, "`IMMOptions`"))
+    assert documented, "no IMMOptions rows parsed — test is broken"
+    fields = {f.name for f in dataclasses.fields(IMMOptions)}
+    stale = sorted(documented - fields)
+    assert not stale, f"{DOC} documents removed IMMOptions fields: {stale}"
+
+
+def test_documented_service_options_exist(doc_text):
+    documented = _table_names(_section(doc_text, "`ServiceOptions`"))
+    assert documented, "no ServiceOptions rows parsed — test is broken"
+    fields = {f.name for f in dataclasses.fields(ServiceOptions)}
+    stale = sorted(documented - fields)
+    assert not stale, f"{DOC} documents removed ServiceOptions fields: {stale}"
+
+
+def test_documented_env_vars_exist(doc_text):
+    documented = set(re.findall(r"`(REPRO_[A-Z_]+[A-Z])`", doc_text))
+    assert documented, "no REPRO_* variables parsed — test is broken"
+    stale = sorted(documented - _source_env_vars())
+    assert not stale, f"{DOC} documents env vars no source reads: {stale}"
+
+
+def test_documented_cli_flags_exist(doc_text):
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)`", doc_text))
+    assert documented, "no CLI flags parsed — test is broken"
+    stale = sorted(documented - _cli_flags())
+    assert not stale, f"{DOC} documents CLI flags repro.cli lacks: {stale}"

@@ -1,28 +1,24 @@
-"""Unit tests for the word-parallel bitset kernels (repro.kernels)."""
+"""Unit tests for the host kernels (repro.kernels)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.kernels import (
     DEFAULT_PLANE_BUDGET_BYTES,
     ENV_BUDGET_MB,
     ENV_COVERAGE_SCAN,
-    ENV_VISITED_MODE,
+    KeySet,
     MembershipPlane,
-    VisitedPlane,
     andnot_words,
     choose_scan_impl,
-    choose_visited_impl,
     decode_bits,
     pack_bits,
     plane_budget_bytes,
     popcount_rows,
     popcount_words,
     resolve_coverage_scan,
-    resolve_visited_mode,
     scatter_or,
     split_index,
     tail_mask,
@@ -120,61 +116,51 @@ def test_scatter_or_handles_duplicate_words():
 
 
 # ---------------------------------------------------------------------------
-# VisitedPlane
+# KeySet
 # ---------------------------------------------------------------------------
-def test_visited_plane_roundtrip_odd_width():
-    batch, n = 5, 67  # n % 64 != 0 exercises the word tail
-    plane = VisitedPlane(batch, n)
-    sid = np.array([0, 0, 2, 2, 2, 4], dtype=np.int64)
-    v = np.array([0, 66, 1, 63, 64, 10], dtype=np.int64)
-    plane.set_sorted_keys(sid, v)
-    np.testing.assert_array_equal(plane.sizes(), [2, 0, 3, 0, 1])
-    np.testing.assert_array_equal(plane.extract_keys(), sid * n + v)
-    probe_sid = np.array([0, 0, 1, 2], dtype=np.int64)
-    probe_v = np.array([66, 65, 0, 64], dtype=np.int64)
-    np.testing.assert_array_equal(
-        plane.test(probe_sid, probe_v), [True, False, False, True]
-    )
+def test_keyset_reports_each_new_key_once():
+    ks = KeySet()
+    keys = np.array([5, 9, 5, 5, 12, 9], dtype=np.int64)
+    new = ks.insert(keys)
+    assert sorted(keys[new].tolist()) == [5, 9, 12]
+    assert ks.size == 3
+    again = ks.insert(np.array([12, 13, 13, 0], dtype=np.int64))
+    np.testing.assert_array_equal(np.sort(np.array([12, 13, 13, 0])[again]), [0, 13])
+    assert ks.size == 5
 
 
-def test_visited_plane_rowwise_unique_matches_sorted_keys():
-    plane_a = VisitedPlane(4, 100)
-    plane_b = VisitedPlane(4, 100)
-    sid = np.array([0, 1, 2, 3], dtype=np.int64)  # each row once
-    v = np.array([99, 0, 64, 63], dtype=np.int64)
-    plane_a.set_rowwise_unique(sid, v)
-    plane_b.set_sorted_keys(sid, v)
-    np.testing.assert_array_equal(plane_a.extract_keys(), plane_b.extract_keys())
+def test_keyset_matches_python_set_and_grows():
+    rng = np.random.default_rng(3)
+    ks = KeySet(1)
+    seen = set()
+    for _ in range(20):
+        keys = rng.integers(0, 5000, size=int(rng.integers(0, 900)))
+        new = ks.insert(keys)
+        assert sorted(keys[new].tolist()) == sorted(set(keys.tolist()) - seen)
+        seen |= set(keys.tolist())
+        assert ks.size == len(seen)
+        assert 2 * ks.size <= ks.capacity  # never past half full
+    assert ks.capacity > 64  # it grew from the minimum table
 
 
-def test_visited_plane_extract_tiles(monkeypatch):
-    """Extraction in tiny tiles is identical to one-shot extraction."""
-    import repro.kernels.planes as planes_mod
-
-    rng = np.random.default_rng(7)
-    batch, n = 40, 130
-    keys = np.unique(rng.integers(0, batch * n, size=300))
-    sid, v = np.divmod(keys, n)
-
-    plane = VisitedPlane(batch, n)
-    plane.set_sorted_keys(sid, v)
-    whole = plane.extract_keys()
-
-    monkeypatch.setattr(planes_mod, "EXTRACT_TILE_WORDS", 4)
-    tiled_plane = VisitedPlane(batch, n)
-    tiled_plane.set_sorted_keys(sid, v)
-    with obs.profiled() as handle:
-        tiled = tiled_plane.extract_keys()
-    np.testing.assert_array_equal(tiled, whole)
-    np.testing.assert_array_equal(tiled, keys)
-    assert handle.report().counters.get("kernels.bitset.tiles", 0) > 1
+def test_keyset_duplicate_heavy_stream():
+    """A stream of one repeated key (a hub every frontier vertex
+    activates) is settled by the claim array: exactly one copy is new."""
+    ks = KeySet(1)
+    keys = np.concatenate([np.full(5000, 7), np.arange(100), np.full(5000, 7)])
+    new = ks.insert(keys)
+    assert sorted(keys[new].tolist()) == list(range(100))
+    assert ks.size == 100
+    assert not ks.insert(np.full(10, 7)).any()
 
 
-def test_visited_plane_publishes_plane_bytes():
-    with obs.profiled() as handle:
-        plane = VisitedPlane(8, 64)
-    gauges = handle.report().gauges
-    assert gauges.get("kernels.bitset.plane_bytes") == plane.nbytes
+def test_keyset_clear_keeps_capacity():
+    ks = KeySet(1)
+    ks.insert(np.arange(1000, dtype=np.int64))
+    capacity = ks.capacity
+    ks.clear()
+    assert ks.size == 0 and ks.capacity == capacity
+    assert ks.insert(np.arange(1000, dtype=np.int64)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +196,14 @@ def test_membership_plane_append_only():
 # mode resolution and the memory budget
 # ---------------------------------------------------------------------------
 def test_resolve_precedence_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv(ENV_VISITED_MODE, "sorted")
-    assert resolve_visited_mode("bitset") == "bitset"
-    assert resolve_visited_mode(None) == "sorted"
-    monkeypatch.delenv(ENV_VISITED_MODE)
-    assert resolve_visited_mode(None) == "auto"
+    monkeypatch.setenv(ENV_COVERAGE_SCAN, "csr")
+    assert resolve_coverage_scan("bitset") == "bitset"
+    assert resolve_coverage_scan(None) == "csr"
+    monkeypatch.delenv(ENV_COVERAGE_SCAN)
+    assert resolve_coverage_scan(None) == "auto"
 
 
 def test_resolve_rejects_unknown(monkeypatch):
-    with pytest.raises(ValidationError):
-        resolve_visited_mode("dense")
     with pytest.raises(ValidationError):
         resolve_coverage_scan("postings")
     monkeypatch.setenv(ENV_COVERAGE_SCAN, "nope")
@@ -240,22 +224,21 @@ def test_plane_budget_env_override(monkeypatch):
         plane_budget_bytes()
 
 
-def test_choose_visited_impl_budget_fallback(monkeypatch):
-    monkeypatch.delenv(ENV_BUDGET_MB, raising=False)
-    assert choose_visited_impl("auto", 128, 1000) == "bitset"
-    assert choose_visited_impl("sorted", 128, 1000) == "sorted"
-    # a plane over budget falls back to sorted and counts the fallback
-    monkeypatch.setenv(ENV_BUDGET_MB, "0.001")
-    with obs.profiled() as handle:
-        assert choose_visited_impl("auto", 4096, 100_000) == "sorted"
-    assert handle.report().counters.get("kernels.bitset.fallbacks", 0) == 1
-    # explicit bitset is honored even over budget (the caller asked)
-    assert choose_visited_impl("bitset", 4096, 100_000) == "bitset"
-
-
 def test_choose_scan_impl_budget_fallback(monkeypatch):
     monkeypatch.delenv(ENV_BUDGET_MB, raising=False)
     assert choose_scan_impl("auto", 1000, 5000) == "bitset"
     assert choose_scan_impl("csr", 1000, 5000) == "csr"
     monkeypatch.setenv(ENV_BUDGET_MB, "0.001")
     assert choose_scan_impl("auto", 100_000, 1_000_000) == "csr"
+
+
+@pytest.mark.parametrize("max_key", [None, 10_000, 2**40])
+def test_keyset_key_width(max_key):
+    """Narrow slots when the key bound allows; same answers either way."""
+    ks = KeySet(1, max_key=max_key)
+    hi = 10_000 if max_key is None or max_key < 2**31 else 2**40
+    keys = np.random.default_rng(5).integers(0, hi, size=3000)
+    new = ks.insert(keys)
+    assert sorted(keys[new].tolist()) == sorted(set(keys.tolist()))
+    assert not ks.insert(keys).any()
+    assert ks.dtype == (np.int32 if max_key == 10_000 else np.int64)

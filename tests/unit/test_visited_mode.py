@@ -1,6 +1,7 @@
-"""Visited-mode parity: every sampler bookkeeping mode draws the same
-stream, so collections *and* traces must be bit-identical across
-``sorted`` / ``bitset`` / ``auto``."""
+"""Visited-set parity: the samplers' hash key-set kernel must draw the
+same stream as the sorted-merge reference kernels in
+``tests/visited_oracle.py``, so collections *and* traces are
+bit-identical to the reference run."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.kernels import ENV_BUDGET_MB, ENV_VISITED_MODE
 from repro.rrr import sample_rrr_ic, sample_rrr_lt
+from tests.visited_oracle import sample_with_oracle
 
 SAMPLERS = {"IC": sample_rrr_ic, "LT": sample_rrr_lt}
 
@@ -33,75 +34,21 @@ def _assert_identical(ref, out):
 @pytest.mark.parametrize("eliminate", [False, True])
 def test_parity_matrix(model, eliminate, small_ic_graph, small_lt_graph):
     graph = small_ic_graph if model == "IC" else small_lt_graph
-    sampler = SAMPLERS[model]
-    ref = sampler(graph, 400, rng=42, eliminate_sources=eliminate,
-                  batch_size=128, visited_mode="sorted")
-    for mode in ("bitset", "auto"):
-        out = sampler(graph, 400, rng=42, eliminate_sources=eliminate,
-                      batch_size=128, visited_mode=mode)
-        _assert_identical(ref, out)
-
-
-@pytest.mark.parametrize("model", ["IC", "LT"])
-def test_env_var_selects_mode(model, small_ic_graph, small_lt_graph, monkeypatch):
-    graph = small_ic_graph if model == "IC" else small_lt_graph
-    sampler = SAMPLERS[model]
-    ref = sampler(graph, 200, rng=5, visited_mode="sorted")
-    monkeypatch.setenv(ENV_VISITED_MODE, "bitset")
-    with obs.profiled() as handle:
-        out = sampler(graph, 200, rng=5)  # mode resolved from the env
+    ref = sample_with_oracle(graph, 400, model, rng=42,
+                             eliminate_sources=eliminate, batch_size=128)
+    out = SAMPLERS[model](graph, 400, rng=42, eliminate_sources=eliminate,
+                          batch_size=128)
     _assert_identical(ref, out)
-    # the bitset path really ran: the visited plane was accounted
-    assert handle.report().gauges.get("kernels.bitset.plane_bytes", 0) > 0
-
-
-@pytest.mark.parametrize("model", ["IC", "LT"])
-def test_auto_falls_back_under_tiny_budget(
-    model, small_ic_graph, small_lt_graph, monkeypatch
-):
-    graph = small_ic_graph if model == "IC" else small_lt_graph
-    sampler = SAMPLERS[model]
-    ref = sampler(graph, 200, rng=9, visited_mode="sorted")
-    monkeypatch.setenv(ENV_BUDGET_MB, "0.001")  # ~1 KiB: no plane fits
-    with obs.profiled() as handle:
-        out = sampler(graph, 200, rng=9, visited_mode="auto")
-    _assert_identical(ref, out)
-    counters = handle.report().counters
-    gauges = handle.report().gauges
-    assert counters.get("kernels.bitset.fallbacks", 0) >= 1
-    assert gauges.get("kernels.bitset.plane_bytes", 0) == 0  # never built
-
-
-@pytest.mark.parametrize("model", ["IC", "LT"])
-def test_auto_plane_within_budget(model, small_ic_graph, small_lt_graph, monkeypatch):
-    """When auto picks bitset, the accounted plane respects the budget."""
-    graph = small_ic_graph if model == "IC" else small_lt_graph
-    monkeypatch.setenv(ENV_BUDGET_MB, "1")
-    with obs.profiled() as handle:
-        SAMPLERS[model](graph, 300, rng=3, batch_size=64, visited_mode="auto")
-    gauges = handle.report().gauges
-    plane_bytes = gauges.get("kernels.bitset.plane_bytes", 0)
-    assert 0 < plane_bytes <= 1024 * 1024
-
-
-def test_bitset_mode_counts_words_and_tiles(small_ic_graph):
-    with obs.profiled() as handle:
-        sample_rrr_ic(small_ic_graph, 200, rng=1, visited_mode="bitset")
-    counters = handle.report().counters
-    assert counters.get("kernels.bitset.words_touched", 0) > 0
-    assert counters.get("kernels.bitset.tiles", 0) >= 1
 
 
 def test_singleton_heavy_graph_parity(line_graph):
     """Tiny graphs with near-empty RRR sets exercise the empty-frontier
-    paths of both modes."""
+    paths of the kernel."""
     from repro.graphs import assign_ic_weights
 
     graph = assign_ic_weights(line_graph)
-    ref = sample_rrr_ic(graph, 50, rng=0, eliminate_sources=True,
-                        visited_mode="sorted")
-    out = sample_rrr_ic(graph, 50, rng=0, eliminate_sources=True,
-                        visited_mode="bitset")
+    ref = sample_with_oracle(graph, 50, "IC", rng=0, eliminate_sources=True)
+    out = sample_rrr_ic(graph, 50, rng=0, eliminate_sources=True)
     _assert_identical(ref, out)
 
 
